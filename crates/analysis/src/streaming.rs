@@ -401,6 +401,15 @@ mod tests {
     }
 
     #[test]
+    fn t_table_monotone_toward_normal() {
+        for df in 1..T95.len() {
+            assert!(t95(df) > t95(df + 1));
+        }
+        assert_eq!(t95(1000), 1.96);
+        assert!(t95(0).is_nan());
+    }
+
+    #[test]
     fn welford_matches_hand_computation() {
         let mut w = Welford::new();
         for x in [1.0, 2.0, 3.0, 4.0, 5.0] {

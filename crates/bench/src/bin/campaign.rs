@@ -34,7 +34,7 @@
 use lrs_bench::campaign::{Campaign, CampaignReport, JOB_LOG, REPORT};
 use lrs_bench::capsules::replay_capsule;
 use lrs_bench::{CampaignSpec, Cli, Json};
-use lrs_netsim::capsule::EngineDigest;
+use lrs_netsim::capsule::{EngineDigest, SEQUENTIAL_ENGINE};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -181,10 +181,10 @@ fn run() -> Result<ExitCode, String> {
         let mut capsule = campaign.job_capsule(job)?;
         // Execute the job once to pin its digest, so `replay --replay`
         // has something to verify against.
-        let run = replay_capsule(&capsule, &capsule.engine.clone(), capsule.shards)?;
+        let run = replay_capsule(&capsule, SEQUENTIAL_ENGINE, 1)?;
         capsule.digests.push(EngineDigest {
-            engine: run.engine,
-            shards: run.shards,
+            engine: SEQUENTIAL_ENGINE.to_string(),
+            shards: 1,
             digest: run.digest,
         });
         print!("{}", capsule.to_jsonl());

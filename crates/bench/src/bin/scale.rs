@@ -1,24 +1,18 @@
-//! Shard-scaling sweep for the parallel discrete-event engine.
+//! Large-grid dissemination timer for the simulator.
 //!
 //! Runs a full dissemination of both schemes (LR-Seluge and Seluge) on
-//! multi-hop grids of ~1k / ~5k / ~10k nodes, sweeping the shard count
-//! 1–16, and records wall-clock time per configuration. Because the
-//! sharded engine is deterministic in the shard count, every run of a
-//! configuration must also produce *identical* metrics — the sweep
-//! asserts this, so it doubles as a large-scale determinism check.
+//! multi-hop grids of ~1k / ~5k / ~10k nodes and records the wall-clock
+//! time of each run next to its virtual completion time. Every run must
+//! reach full completion; the bin asserts it, so the sweep doubles as a
+//! 10k-node correctness check.
 //!
 //! Modes:
 //!
-//! * default — 32×32, 71×71, and 100×100 grids, shards {1, 2, 4, 8, 16}
+//! * default — 32×32, 71×71, and 100×100 grids
 //! * `--quick` — the 32×32 grid only
-//! * `--smoke` — CI gate: a 20×20 (400-node) grid at 1 and 2 shards,
-//!   asserting the 2-shard metrics equal the 1-shard metrics
+//! * `--smoke` — CI gate: a 20×20 (400-node) grid
 //!
-//! Writes `results/scale.json` including the machine's core count;
-//! speedup numbers are only meaningful relative to it (on a single-core
-//! container every shard count shares one CPU and the sweep measures
-//! synchronization overhead, not parallel speedup — see
-//! `BENCH_scale.json`).
+//! Writes `results/scale.json`; `BENCH_scale.json` records a full run.
 
 use lr_seluge::Deployment;
 use lrs_bench::capsules::{scale_image as test_image, scale_params as small_lr, ScenarioTags};
@@ -29,10 +23,10 @@ use lrs_crypto::schnorr::Keypair;
 use lrs_deluge::engine::DisseminationNode;
 use lrs_deluge::policy::UnionPolicy;
 use lrs_netsim::node::{NodeId, Protocol};
-use lrs_netsim::sim::Outcome;
+use lrs_netsim::sim::{Outcome, Simulator};
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
-use lrs_netsim::{ShardedRun, SimBuilder};
+use lrs_netsim::SimBuilder;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -42,64 +36,63 @@ fn deadline() -> Duration {
     Duration::from_secs(100_000)
 }
 
-/// Per-run record: completion fraction plus the numbers that must be
-/// shard-count independent.
+/// Per-run record.
 struct CaseRun {
     wall_s: f64,
     outcome: Outcome,
     final_time_us: u64,
     completed: usize,
-    metrics: lrs_netsim::metrics::Metrics,
+    total_tx_bytes: u64,
 }
 
-fn summarize(run: ShardedRun<bool>, wall_s: f64) -> CaseRun {
+/// Runs `sim` to the deadline; `start` was taken before the simulator
+/// was built, so node construction counts toward the wall time.
+fn timed_run<P: Protocol>(start: Instant, mut sim: Simulator<P>, nodes: usize) -> CaseRun {
+    let report = sim.run(deadline());
+    let wall_s = start.elapsed().as_secs_f64();
     CaseRun {
         wall_s,
-        outcome: run.report.outcome,
-        final_time_us: run.report.final_time.0,
-        completed: run.harvest.iter().filter(|c| **c).count(),
-        metrics: run.metrics,
+        outcome: report.outcome,
+        final_time_us: report.final_time.0,
+        completed: (0..nodes)
+            .filter(|&i| sim.node(NodeId(i as u32)).is_complete())
+            .count(),
+        total_tx_bytes: sim.metrics().total_tx_bytes(),
     }
 }
 
 /// Arms the flight recorder when `--capsule <dir>` was given: a run
-/// ending in a diagnostic outcome (stall, invariant violation, worker
-/// panic) drops a tagged replay capsule into the directory.
+/// ending in a diagnostic outcome (stall, invariant violation) drops a
+/// tagged replay capsule into the directory.
 fn with_capsule<P, F>(
     builder: SimBuilder<P, F>,
     capsule_dir: Option<&Path>,
     scheme: &str,
     side: usize,
-    shards: usize,
 ) -> SimBuilder<P, F> {
     let Some(dir) = capsule_dir else {
         return builder;
     };
     let tags = ScenarioTags::new(scheme, "scale", 1024, "scale sweep");
-    let mut b = builder
-        .capsule_on_failure(dir.join(format!("scale-{scheme}-{side}x{side}-s{shards}.jsonl")));
+    let mut b = builder.capsule_on_failure(dir.join(format!("scale-{scheme}-{side}x{side}.jsonl")));
     for (key, value) in tags.pairs() {
         b = b.scenario(key, value);
     }
     b
 }
 
-fn run_lr(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun {
+fn run_lr(side: usize, capsule_dir: Option<&Path>) -> CaseRun {
     let image = test_image(1024);
     let deployment = Deployment::new(&image, small_lr(image.len()), b"scale sweep");
     let start = Instant::now();
     let builder = SimBuilder::new(Topology::grid(side, 10.0, 77), SEED, |id| {
-        // No shared digest cache: the memo is Rc-based and nodes are
-        // constructed inside shard worker threads.
         deployment.node(id, NodeId(0))
-    })
-    .shards(shards);
-    let run = with_capsule(builder, capsule_dir, "lr-seluge", side, shards)
-        .run_sharded(deadline(), |_, node| Protocol::is_complete(node));
-    summarize(run, start.elapsed().as_secs_f64())
+    });
+    let sim = with_capsule(builder, capsule_dir, "lr-seluge", side).build();
+    timed_run(start, sim, side * side)
 }
 
-fn run_seluge(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun {
+fn run_seluge(side: usize, capsule_dir: Option<&Path>) -> CaseRun {
     let image = test_image(1024);
     let params = matched_seluge_params(&small_lr(image.len()));
     let kp = Keypair::from_seed(b"scale sweep");
@@ -115,15 +108,13 @@ fn run_seluge(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun
             lrs_seluge::scheme::SelugeScheme::receiver(params, kp.public(), puzzle)
         };
         DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), Default::default())
-    })
-    .shards(shards);
-    let run = with_capsule(builder, capsule_dir, "seluge", side, shards)
-        .run_sharded(deadline(), |_, node| Protocol::is_complete(node));
-    summarize(run, start.elapsed().as_secs_f64())
+    });
+    let sim = with_capsule(builder, capsule_dir, "seluge", side).build();
+    timed_run(start, sim, side * side)
 }
 
 const FLAGS: &[lrs_bench::cli::Flag] = &[
-    lrs_bench::cli::flag("--smoke", "CI gate: 20x20 grid at 1 and 2 shards"),
+    lrs_bench::cli::flag("--smoke", "CI gate: the 20x20 grid only"),
     lrs_bench::cli::flag("--quick", "the 32x32 grid only"),
     lrs_bench::cli::valued("--capsule", "arm the flight recorder on every run"),
 ];
@@ -143,10 +134,6 @@ fn run() -> Result<(), lrs_bench::CliError> {
     let (smoke, quick) = (cli.smoke(), cli.quick());
     // `--capsule <dir>`: arm the flight recorder on every run.
     let capsule_dir: Option<PathBuf> = cli.capsule_dir();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let shard_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8, 16] };
     let sides: &[usize] = if smoke {
         &[20]
     } else if quick {
@@ -154,85 +141,50 @@ fn run() -> Result<(), lrs_bench::CliError> {
     } else {
         &[32, 71, 100]
     };
-    println!(
-        "Shard-scaling sweep: grids {:?} (nodes = side²), shards {:?}, {} core(s) available\n",
-        sides, shard_counts, cores
-    );
+    println!("Large-grid dissemination: grids {sides:?} (nodes = side²)\n");
 
     let mut table = Table::new(vec![
-        "scheme", "nodes", "shards", "wall_s", "speedup", "outcome", "virt_s", "complete",
+        "scheme", "nodes", "wall_s", "outcome", "virt_s", "complete",
     ]);
     let mut rows = Vec::new();
     for &side in sides {
         let nodes = side * side;
         for scheme in ["lr-seluge", "seluge"] {
-            let mut baseline: Option<CaseRun> = None;
-            let mut runs_json = Vec::new();
-            for &shards in shard_counts {
-                let run = match scheme {
-                    "lr-seluge" => run_lr(side, shards, capsule_dir.as_deref()),
-                    _ => run_seluge(side, shards, capsule_dir.as_deref()),
-                };
-                assert_eq!(
-                    run.outcome,
-                    Outcome::Complete,
-                    "{scheme} on {side}x{side} @ {shards} shards did not complete"
-                );
-                assert_eq!(run.completed, nodes, "{scheme} @ {shards} shards");
-                let speedup = match &baseline {
-                    Some(base) => {
-                        // Shard-count independence: the engine must
-                        // reproduce the 1-shard metrics exactly.
-                        assert_eq!(
-                            run.metrics, base.metrics,
-                            "{scheme} on {side}x{side}: metrics diverge at {shards} shards"
-                        );
-                        assert_eq!(
-                            run.final_time_us, base.final_time_us,
-                            "{scheme} on {side}x{side}: final time diverges at {shards} shards"
-                        );
-                        base.wall_s / run.wall_s
-                    }
-                    None => 1.0,
-                };
-                table.row(vec![
-                    scheme.to_string(),
-                    nodes.to_string(),
-                    shards.to_string(),
-                    format!("{:.2}", run.wall_s),
-                    format!("{speedup:.2}"),
-                    format!("{:?}", run.outcome),
-                    format!("{:.1}", run.final_time_us as f64 / 1e6),
-                    run.completed.to_string(),
-                ]);
-                println!(
-                    "{scheme:10} {nodes:6} nodes  {shards:2} shards  {:.2} s wall  {speedup:.2}x",
-                    run.wall_s
-                );
-                runs_json.push(Json::Obj(vec![
-                    ("shards".into(), Json::num(shards as u32)),
-                    ("wall_s".into(), Json::num(run.wall_s)),
-                    ("speedup_vs_1_shard".into(), Json::num(speedup)),
-                    ("outcome".into(), Json::str(format!("{:?}", run.outcome))),
-                    (
-                        "virtual_time_s".into(),
-                        Json::num(run.final_time_us as f64 / 1e6),
-                    ),
-                    ("completed_nodes".into(), Json::num(run.completed as u32)),
-                    (
-                        "total_tx_bytes".into(),
-                        Json::num(run.metrics.total_tx_bytes() as f64),
-                    ),
-                ]));
-                if baseline.is_none() {
-                    baseline = Some(run);
-                }
-            }
+            let run = match scheme {
+                "lr-seluge" => run_lr(side, capsule_dir.as_deref()),
+                _ => run_seluge(side, capsule_dir.as_deref()),
+            };
+            assert_eq!(
+                run.outcome,
+                Outcome::Complete,
+                "{scheme} on {side}x{side} did not complete"
+            );
+            assert_eq!(run.completed, nodes, "{scheme} on {side}x{side}");
+            let virt_s = run.final_time_us as f64 / 1e6;
+            table.row(vec![
+                scheme.to_string(),
+                nodes.to_string(),
+                format!("{:.2}", run.wall_s),
+                format!("{:?}", run.outcome),
+                format!("{virt_s:.1}"),
+                run.completed.to_string(),
+            ]);
+            println!(
+                "{scheme:10} {nodes:6} nodes  {:.2} s wall  {virt_s:.1} s virtual",
+                run.wall_s
+            );
             rows.push(Json::Obj(vec![
                 ("scheme".into(), Json::str(scheme)),
                 ("grid_side".into(), Json::num(side as u32)),
                 ("nodes".into(), Json::num(nodes as u32)),
-                ("runs".into(), Json::Arr(runs_json)),
+                ("wall_s".into(), Json::num(run.wall_s)),
+                ("outcome".into(), Json::str(format!("{:?}", run.outcome))),
+                ("virtual_time_s".into(), Json::num(virt_s)),
+                ("completed_nodes".into(), Json::num(run.completed as u32)),
+                (
+                    "total_tx_bytes".into(),
+                    Json::num(run.total_tx_bytes as f64),
+                ),
             ]));
         }
     }
@@ -250,21 +202,12 @@ fn run() -> Result<(), lrs_bench::CliError> {
                 "full"
             }),
         ),
-        ("cores".into(), Json::num(cores as u32)),
         ("seed".into(), Json::num(SEED as u32)),
-        (
-            "note".into(),
-            Json::str(
-                "Speedup is wall-clock relative to 1 shard on this machine; \
-                 with a single core it measures synchronization overhead, \
-                 not parallelism.",
-            ),
-        ),
         ("rows".into(), Json::Arr(rows)),
     ]);
     println!("wrote {}", write_json("scale", &doc));
     if smoke {
-        println!("scale smoke: 2-shard metrics identical to 1-shard metrics");
+        println!("scale smoke: both schemes completed on every node");
     }
     Ok(())
 }

@@ -10,9 +10,9 @@
 //!
 //! * any job can be exported as a bit-exact reproducer *before* it runs
 //!   ([`Campaign::job_capsule`], via `SimBuilder::capsule`);
-//! * any job that ends diagnostically (stalled, invariant violated,
-//!   worker panicked) dumps a failure capsule under `failures/`,
-//!   immediately consumable by the `replay` binary; and
+//! * any job that ends diagnostically (stalled or invariant violated)
+//!   dumps a failure capsule under `failures/`, immediately consumable
+//!   by the `replay` binary; and
 //! * the campaign state on disk is nothing but a manifest plus an
 //!   append-only completion log — kill -9 at any instant loses at most
 //!   the jobs in flight.
@@ -45,9 +45,7 @@
 use crate::capsules::{campaign_params, lr_factory, seluge_factory, ScenarioTags};
 use crate::json::{parse_json, Json};
 use crate::runner::{matched_seluge_params, test_image, ExperimentMetrics};
-use crate::spec::{
-    attack_config, build_topology, fault_config, topology_nodes, CampaignSpec, CellParams,
-};
+use crate::spec::{attack_config, build_topology, fault_config, CampaignSpec, CellParams};
 use lr_seluge::{Deployment, LrNode};
 use lrs_analysis::StreamingSummary;
 use lrs_crypto::puzzle::PuzzleKeyChain;
@@ -56,7 +54,7 @@ use lrs_deluge::attack::MaybeAdversary;
 use lrs_deluge::engine::{DisseminationNode, Scheme};
 use lrs_deluge::policy::{TxPolicy, UnionPolicy};
 use lrs_netsim::attack::AttackPlan;
-use lrs_netsim::capsule::{Capsule, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
+use lrs_netsim::capsule::{Capsule, SEQUENTIAL_ENGINE};
 use lrs_netsim::energy::EnergyModel;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::metrics::Metrics;
@@ -88,17 +86,16 @@ pub const MANIFEST_VERSION: f64 = 1.0;
 
 /// Outcome labels in fixed report order (the order of
 /// [`Outcome`](lrs_netsim::sim::Outcome)'s variants).
-pub const OUTCOME_LABELS: [&str; 6] = [
+pub const OUTCOME_LABELS: [&str; 5] = [
     "complete",
     "timed_out",
     "drained",
     "stalled",
     "invariant_violated",
-    "worker_panicked",
 ];
 
 /// Outcome labels that dump a failure capsule.
-const DIAGNOSTIC_LABELS: [&str; 3] = ["stalled", "invariant_violated", "worker_panicked"];
+const DIAGNOSTIC_LABELS: [&str; 2] = ["stalled", "invariant_violated"];
 
 /// One completed job, as logged: the unit of checkpointing.
 ///
@@ -681,12 +678,11 @@ impl Campaign {
             &topology,
             seed,
         );
-        let (engine, shards) = self.job_engine(&cell.topology)?;
         let scenario = self.job_tags(cell, seed, &topology)?.pairs();
         Ok(Capsule {
             seed,
-            engine: engine.to_string(),
-            shards,
+            engine: SEQUENTIAL_ENGINE.to_string(),
+            shards: 1,
             deadline: Duration::from_secs(self.spec.deadline_s),
             config: self.spec.sim_config(cell.loss_ppm),
             topology,
@@ -694,22 +690,6 @@ impl Campaign {
             scenario,
             digests: Vec::new(),
         })
-    }
-
-    /// Engine and shard count a job on `topology` runs with: `auto`
-    /// hands grids at/above the threshold to the sharded engine.
-    fn job_engine(&self, topology: &str) -> Result<(&'static str, usize), String> {
-        let nodes = topology_nodes(topology)?;
-        let sharded = match self.spec.engine.as_str() {
-            "sharded" => true,
-            "auto" => nodes >= self.spec.sharded_threshold,
-            _ => false,
-        };
-        if sharded {
-            Ok((SHARDED_ENGINE, self.spec.shards))
-        } else {
-            Ok((SEQUENTIAL_ENGINE, 1))
-        }
     }
 
     /// Executes one job to a loggable record.
@@ -746,8 +726,8 @@ impl Campaign {
     }
 
     /// Scheme-generic single-job runner: builds the sim from the cell's
-    /// parameters, arms the flight recorder, runs on the engine
-    /// [`job_engine`](Self::job_engine) picked, and extracts metrics.
+    /// parameters, arms the flight recorder, runs it, and extracts
+    /// metrics.
     #[allow(clippy::too_many_arguments)]
     fn run_job<S, Pol, F, V>(
         &self,
@@ -762,10 +742,8 @@ impl Campaign {
     where
         S: Scheme + 'static,
         Pol: TxPolicy + 'static,
-        F: Fn(NodeId) -> MaybeAdversary<DisseminationNode<S, Pol>> + Sync,
+        F: FnMut(NodeId) -> MaybeAdversary<DisseminationNode<S, Pol>>,
         V: Fn(&MaybeAdversary<DisseminationNode<S, Pol>>, NodeId) -> Result<(), InvariantViolation>
-            + Send
-            + Sync
             + 'static,
     {
         let nodes = topology.len();
@@ -776,9 +754,6 @@ impl Campaign {
             seed,
         );
         let deadline = Duration::from_secs(self.spec.deadline_s);
-        let (engine, shards) = self
-            .job_engine(&cell.topology)
-            .expect("validated at parse time");
         let mut builder = SimBuilder::new(topology, seed, make)
             .config(self.spec.sim_config(cell.loss_ppm))
             .faults(faults)
@@ -788,57 +763,31 @@ impl Campaign {
             builder = builder.scenario(key, value);
         }
 
-        let (report, totals, metrics, energy_j) = if engine == SHARDED_ENGINE {
-            let run = builder
-                .shards(shards)
-                .run_sharded(deadline, |_, node| node.honest().map(harvest_node));
-            let mut totals = HarvestTotals::default();
-            for h in run.harvest.into_iter().flatten() {
-                totals.add(h);
+        let mut sim = builder.build();
+        let report = sim.run(deadline);
+        let mut totals = HarvestTotals::default();
+        for i in 0..nodes {
+            if let Some(n) = sim.node(NodeId(i as u32)).honest() {
+                totals.add(n);
             }
-            let energy_j = run.energy.total_joules(&EnergyModel::default());
-            (run.report, totals, run.metrics, energy_j)
-        } else {
-            let mut sim = builder.build();
-            let report = sim.run(deadline);
-            let mut totals = HarvestTotals::default();
-            for i in 0..nodes {
-                if let Some(n) = sim.node(NodeId(i as u32)).honest() {
-                    totals.add(harvest_node(n));
-                }
-            }
-            let energy_j = sim.energy().total_joules(&EnergyModel::default());
-            let metrics = sim.metrics().clone();
-            (report, totals, metrics, energy_j)
-        };
+        }
+        let energy_j = sim.energy().total_joules(&EnergyModel::default());
 
         JobRecord {
             job,
             cell: cell.index,
             seed,
             outcome: report.outcome.label().to_string(),
-            metrics: extract_metrics(&report, &metrics, &totals, energy_j),
+            metrics: extract_metrics(&report, sim.metrics(), &totals, energy_j),
         }
     }
 }
 
-/// Per-honest-node observables harvested after a run: signature
-/// verifications, authentication rejections, verification operations
-/// (hashes + puzzle checks + signature verifications), and completion
-/// (1.0 / 0.0). Attackers are excluded — degradation is measured over
-/// the honest population only.
-fn harvest_node<S: Scheme, Pol: TxPolicy>(n: &DisseminationNode<S, Pol>) -> (f64, f64, f64, f64) {
-    let cost = n.scheme().cost();
-    let st = n.stats();
-    (
-        cost.signature_verifications as f64,
-        (st.auth_rejects + st.mac_rejects) as f64,
-        (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64,
-        if n.is_complete() { 1.0 } else { 0.0 },
-    )
-}
-
-/// Network-wide totals of [`harvest_node`] over the honest population.
+/// Network-wide totals of per-node observables over the honest
+/// population: signature verifications, authentication rejections,
+/// verification operations (hashes + puzzle checks + signature
+/// verifications), and completions. Attackers are excluded —
+/// degradation is measured over the honest population only.
 #[derive(Clone, Copy, Debug, Default)]
 struct HarvestTotals {
     honest: f64,
@@ -849,17 +798,18 @@ struct HarvestTotals {
 }
 
 impl HarvestTotals {
-    fn add(&mut self, (sig, rejects, verify_ops, complete): (f64, f64, f64, f64)) {
+    fn add<S: Scheme, Pol: TxPolicy>(&mut self, n: &DisseminationNode<S, Pol>) {
+        let cost = n.scheme().cost();
+        let st = n.stats();
         self.honest += 1.0;
-        self.sig += sig;
-        self.rejects += rejects;
-        self.verify_ops += verify_ops;
-        self.complete += complete;
+        self.sig += cost.signature_verifications as f64;
+        self.rejects += (st.auth_rejects + st.mac_rejects) as f64;
+        self.verify_ops += (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64;
+        self.complete += if n.is_complete() { 1.0 } else { 0.0 };
     }
 }
 
-/// Metric extraction shared by both engines, in
-/// [`ExperimentMetrics::NAMES`] order.
+/// Metric extraction in [`ExperimentMetrics::NAMES`] order.
 fn extract_metrics(
     report: &RunReport,
     m: &Metrics,
@@ -900,7 +850,7 @@ fn extract_metrics(
 /// Per-delivery invariant check for LR-Seluge campaign jobs.
 fn lr_invariant(
     tags: &ScenarioTags,
-) -> impl Fn(&MaybeAdversary<LrNode>, NodeId) -> Result<(), InvariantViolation> + Send + Sync {
+) -> impl Fn(&MaybeAdversary<LrNode>, NodeId) -> Result<(), InvariantViolation> {
     let p = campaign_params(tags.image_len);
     let image = test_image(tags.image_len);
     let deployment = Deployment::new(&image, p, tags.key_context.as_bytes());
@@ -918,9 +868,7 @@ fn seluge_invariant(
 ) -> impl Fn(
     &MaybeAdversary<DisseminationNode<SelugeScheme, UnionPolicy>>,
     NodeId,
-) -> Result<(), InvariantViolation>
-       + Send
-       + Sync {
+) -> Result<(), InvariantViolation> {
     let sp = matched_seluge_params(&campaign_params(tags.image_len));
     let image = test_image(tags.image_len);
     let context = tags.key_context.as_bytes();

@@ -8,8 +8,7 @@
 //! scenario tags. This module is the bench-side registry for those
 //! tags: the chaos/scale capture paths write them through
 //! [`ScenarioTags::apply`], and the `replay` binary turns them back
-//! into `make_node` closures via [`replay_capsule`],
-//! [`bisect_capsule_shards`], and [`bisect_capsule_engines`].
+//! into `make_node` closures via [`replay_capsule`].
 
 use crate::runner::{matched_seluge_params, test_image};
 use lr_seluge::{Deployment, LrArtifacts, LrNode, LrSelugeParams};
@@ -20,15 +19,12 @@ use lrs_deluge::attack::{AttackKind, Attacker, AttackerProfile, MaybeAdversary};
 use lrs_deluge::engine::{DisseminationNode, EngineConfig};
 use lrs_deluge::policy::UnionPolicy;
 use lrs_netsim::attack::AttackPlan;
-use lrs_netsim::capsule::{SEQUENTIAL_ENGINE, SHARDED_ENGINE};
+use lrs_netsim::capsule::SEQUENTIAL_ENGINE;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::SimConfig;
 use lrs_netsim::time::Duration;
-use lrs_netsim::{
-    bisect_engines, bisect_shard_counts, replay_sequential, replay_sharded, Capsule, CapsuleSpec,
-    Divergence, ReplayRun,
-};
+use lrs_netsim::{replay_sequential, Capsule, CapsuleSpec, ReplayRun};
 use lrs_seluge::{SelugeArtifacts, SelugeScheme};
 
 /// Tag key: scheme under test (`lr-seluge` or `seluge`).
@@ -299,7 +295,7 @@ pub fn seluge_attacker_profile(
 /// Reconstructs the LR-Seluge node population described by `tags`.
 pub fn lr_factory(
     tags: &ScenarioTags,
-) -> Result<impl Fn(NodeId) -> MaybeAdversary<LrNode> + Sync, String> {
+) -> Result<impl Fn(NodeId) -> MaybeAdversary<LrNode>, String> {
     let p = profile_params(&tags.profile, tags.image_len)?;
     let image = profile_image(&tags.profile, tags.image_len)?;
     let deployment = Deployment::new(&image, p, tags.key_context.as_bytes());
@@ -321,10 +317,8 @@ pub fn lr_factory(
 #[allow(clippy::type_complexity)]
 pub fn seluge_factory(
     tags: &ScenarioTags,
-) -> Result<
-    impl Fn(NodeId) -> MaybeAdversary<DisseminationNode<SelugeScheme, UnionPolicy>> + Sync,
-    String,
-> {
+) -> Result<impl Fn(NodeId) -> MaybeAdversary<DisseminationNode<SelugeScheme, UnionPolicy>>, String>
+{
     let sp = matched_seluge_params(&profile_params(&tags.profile, tags.image_len)?);
     let image = profile_image(&tags.profile, tags.image_len)?;
     let context = tags.key_context.as_bytes();
@@ -370,76 +364,20 @@ fn unknown_scheme(scheme: &str) -> String {
 }
 
 /// Reconstructs `capsule`'s node population from its scenario tags and
-/// re-executes it: `engine` is [`SEQUENTIAL_ENGINE`] or
-/// [`SHARDED_ENGINE`]; `shards` only applies to the latter.
+/// re-executes it. `engine` must be [`SEQUENTIAL_ENGINE`] and `shards`
+/// 1: the sharded engine was removed, and a request for it is an error
+/// rather than a silent sequential run.
 pub fn replay_capsule(capsule: &Capsule, engine: &str, shards: usize) -> Result<ReplayRun, String> {
+    if engine != SEQUENTIAL_ENGINE || shards != 1 {
+        return Err(format!(
+            "cannot replay on engine {engine:?} with {shards} shard(s): the sharded \
+             engine was removed; only {SEQUENTIAL_ENGINE:?} with 1 shard exists"
+        ));
+    }
     let tags = ScenarioTags::decode(capsule)?;
     match tags.scheme.as_str() {
-        "lr-seluge" => {
-            let make = lr_factory(&tags)?;
-            run_engine(capsule, engine, shards, make)
-        }
-        "seluge" => {
-            let make = seluge_factory(&tags)?;
-            run_engine(capsule, engine, shards, make)
-        }
-        other => Err(unknown_scheme(other)),
-    }
-}
-
-fn run_engine<P, F>(
-    capsule: &Capsule,
-    engine: &str,
-    shards: usize,
-    make: F,
-) -> Result<ReplayRun, String>
-where
-    P: lrs_netsim::node::Protocol + 'static,
-    F: Fn(NodeId) -> P + Sync,
-{
-    match engine {
-        SEQUENTIAL_ENGINE => Ok(replay_sequential(capsule, make)),
-        SHARDED_ENGINE => Ok(replay_sharded(capsule, shards, make)),
-        other => Err(format!(
-            "unknown engine {other:?}; use {SEQUENTIAL_ENGINE:?} or {SHARDED_ENGINE:?}"
-        )),
-    }
-}
-
-/// Replays `capsule` at two shard counts and reports the first
-/// diverging `OrderKey` (`None` means lockstep-identical, the invariant
-/// the sharded engine promises).
-pub fn bisect_capsule_shards(
-    capsule: &Capsule,
-    shards_a: usize,
-    shards_b: usize,
-) -> Result<Option<Divergence>, String> {
-    let tags = ScenarioTags::decode(capsule)?;
-    match tags.scheme.as_str() {
-        "lr-seluge" => Ok(bisect_shard_counts(
-            capsule,
-            shards_a,
-            shards_b,
-            lr_factory(&tags)?,
-        )),
-        "seluge" => Ok(bisect_shard_counts(
-            capsule,
-            shards_a,
-            shards_b,
-            seluge_factory(&tags)?,
-        )),
-        other => Err(unknown_scheme(other)),
-    }
-}
-
-/// Replays `capsule` on both engines and reports where their event
-/// orders part ways (expected: the engines order concurrent events
-/// differently by design).
-pub fn bisect_capsule_engines(capsule: &Capsule) -> Result<Option<Divergence>, String> {
-    let tags = ScenarioTags::decode(capsule)?;
-    match tags.scheme.as_str() {
-        "lr-seluge" => Ok(bisect_engines(capsule, lr_factory(&tags)?)),
-        "seluge" => Ok(bisect_engines(capsule, seluge_factory(&tags)?)),
+        "lr-seluge" => Ok(replay_sequential(capsule, lr_factory(&tags)?)),
+        "seluge" => Ok(replay_sequential(capsule, seluge_factory(&tags)?)),
         other => Err(unknown_scheme(other)),
     }
 }
@@ -467,8 +405,8 @@ mod tests {
         let pairs = tags.pairs();
         let capsule = Capsule {
             seed: 1,
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 2,
+            engine: SEQUENTIAL_ENGINE.to_string(),
+            shards: 1,
             deadline: Duration::from_secs(1),
             config: SimConfig::default(),
             topology: lrs_netsim::Topology::star(2),

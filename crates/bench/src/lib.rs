@@ -13,10 +13,10 @@
 //! | `imgsize`  | §VI-C          | Image-size sweep (4–80 KB) |
 //! | `ablation` | design choices | Greedy scheduler vs union rule; RS vs XOR vs LT page codes |
 //! | `overhead` | §V-B           | Per-receiver hashes / signature verifications / erasure ops |
-//! | `probe`    | diagnostics    | One run with per-node statistics (`LRS_TRACE=1` for a TX/SNACK trace) |
+//! | `probe`    | diagnostics    | One run with per-node statistics (`probe --trace=FILE` for a JSONL event trace) |
 //! | `chaos`    | robustness     | Fault-intensity sweep with invariant checking and a watchdog demo |
-//! | `scale`    | engine         | Shard-scaling sweep of the parallel engine |
-//! | `replay`   | flight recorder| Capture, replay, and bisect run capsules (see `capsules`) |
+//! | `scale`    | engine         | Large-grid (32×32 to 100×100) dissemination timer |
+//! | `replay`   | flight recorder| Capture and replay run capsules (see `capsules`) |
 //! | `campaign` | fleets         | Checkpointed Monte-Carlo campaigns over a grid spec (see `campaign`) |
 //! | `campdiff` | regression gate| Statistical diff of two campaign reports (see `diff`) |
 //!

@@ -70,13 +70,6 @@ pub struct CampaignSpec {
     pub stall_s: u64,
     /// Hard virtual-time ceiling in seconds.
     pub max_sim_s: u64,
-    /// Engine selection: `sequential`, `sharded`, or `auto` (sharded
-    /// at/above [`sharded_threshold`](Self::sharded_threshold) nodes).
-    pub engine: String,
-    /// Shard count when the sharded engine runs a job.
-    pub shards: usize,
-    /// Node count at which `auto` hands a job to the sharded engine.
-    pub sharded_threshold: usize,
 }
 
 impl CampaignSpec {
@@ -95,6 +88,16 @@ impl CampaignSpec {
     /// manifest-embedded copy).
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         let name = req_str(doc, "name")?;
+        // One engine remains. `auto` still parses so manifests written
+        // while a sharded engine existed resume unchanged; naming any
+        // other engine is an error, never a silent sequential run.
+        let engine = opt_str(doc, "engine", "sequential")?;
+        if !["sequential", "auto"].contains(&engine.as_str()) {
+            return Err(format!(
+                "unknown engine {engine:?}; the sharded engine was removed, \
+                 use \"sequential\""
+            ));
+        }
         let spec = CampaignSpec {
             name,
             schemes: str_list(doc, "schemes", &["lr-seluge", "seluge"])?,
@@ -111,9 +114,6 @@ impl CampaignSpec {
             deadline_s: opt_num(doc, "deadline_s", 3_600.0)? as u64,
             stall_s: opt_num(doc, "stall_s", 400.0)? as u64,
             max_sim_s: opt_num(doc, "max_sim_s", 3_000.0)? as u64,
-            engine: opt_str(doc, "engine", "auto")?,
-            shards: opt_num(doc, "shards", 4.0)? as usize,
-            sharded_threshold: opt_num(doc, "sharded_threshold", 64.0)? as usize,
         };
         spec.validate()?;
         Ok(spec)
@@ -148,15 +148,6 @@ impl CampaignSpec {
         if self.seeds == 0 {
             return Err("seeds must be at least 1".into());
         }
-        if !["sequential", "sharded", "auto"].contains(&self.engine.as_str()) {
-            return Err(format!(
-                "unknown engine {:?}; use \"sequential\", \"sharded\", or \"auto\"",
-                self.engine
-            ));
-        }
-        if !(1..=64).contains(&self.shards) {
-            return Err(format!("shards must be in 1..=64, got {}", self.shards));
-        }
         Ok(())
     }
 
@@ -181,12 +172,6 @@ impl CampaignSpec {
             ("deadline_s".into(), Json::Num(self.deadline_s as f64)),
             ("stall_s".into(), Json::Num(self.stall_s as f64)),
             ("max_sim_s".into(), Json::Num(self.max_sim_s as f64)),
-            ("engine".into(), Json::str(&self.engine)),
-            ("shards".into(), Json::num(self.shards as u32)),
-            (
-                "sharded_threshold".into(),
-                Json::Num(self.sharded_threshold as f64),
-            ),
         ])
     }
 
@@ -755,8 +740,13 @@ mod tests {
         assert_eq!(spec.seeds, 3);
         // Defaults fill the rest.
         assert_eq!(spec.faults, ["none"]);
-        assert_eq!(spec.engine, "auto");
         assert_eq!(spec.job_count(), 2 * 2 * 3);
+        // `auto` (written by older manifests, with their shard keys)
+        // still parses.
+        for engine in ["sequential", "auto"] {
+            let text = format!("name = \"x\"\nengine = \"{engine}\"\nshards = 4");
+            assert!(CampaignSpec::parse(&text).is_ok(), "{engine}");
+        }
     }
 
     #[test]
@@ -806,7 +796,10 @@ mod tests {
             ("name = \"x\"\nattackers = [\"ddos\"]", "unknown attacker"),
             ("name = \"x\"\nseeds = 0", "at least 1"),
             ("name = \"x\"\nengine = \"quantum\"", "unknown engine"),
-            ("name = \"x\"\nshards = 65", "1..=64"),
+            (
+                "name = \"x\"\nengine = \"sharded\"",
+                "sharded engine was removed",
+            ),
             ("[table]\nname = \"x\"", "tables are not supported"),
             ("name = \"x\"\nloss_ppm = [[1]]", "nested arrays"),
         ] {

@@ -7,6 +7,8 @@
 //! Student t distribution (the seed counts are small, so the normal
 //! approximation would understate the interval).
 
+use lrs_analysis::streaming::t95;
+
 /// Mean, spread, and a 95 % confidence half-width for one metric.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Summary {
@@ -19,25 +21,6 @@ pub struct Summary {
     /// Half-width of the 95 % confidence interval for the mean
     /// (`t · sd / √n`; 0 for n < 2).
     pub ci95: f64,
-}
-
-/// Two-sided 95 % Student t critical values by degrees of freedom
-/// (1..=30); beyond 30 the normal value 1.96 is close enough.
-const T95: [f64; 30] = [
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-    2.052, 2.048, 2.045, 2.042,
-];
-
-/// t critical value for `df` degrees of freedom at 95 % confidence.
-fn t95(df: usize) -> f64 {
-    if df == 0 {
-        f64::NAN
-    } else if df <= T95.len() {
-        T95[df - 1]
-    } else {
-        1.96
-    }
 }
 
 /// Summarizes `samples`, ignoring non-finite entries (a stalled run
@@ -113,13 +96,5 @@ mod tests {
         let few: Vec<f64> = (0..4).map(|i| (i % 2) as f64).collect();
         let many: Vec<f64> = (0..30).map(|i| (i % 2) as f64).collect();
         assert!(summarize(&many).ci95 < summarize(&few).ci95);
-    }
-
-    #[test]
-    fn t_table_monotone_toward_normal() {
-        for df in 1..T95.len() {
-            assert!(t95(df) > t95(df + 1));
-        }
-        assert_eq!(t95(1000), 1.96);
     }
 }

@@ -372,15 +372,6 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         let item = self.level();
         let bits = self.scheme.wanted(item);
         ctx.note("snack", item as u64, bits.count_ones() as u64);
-        if std::env::var_os("LRS_TRACE").is_some() {
-            eprintln!(
-                "{:.3} n{} SNACK item={item} q={} -> n{}",
-                ctx.now.as_secs_f64(),
-                ctx.id.0,
-                bits.count_ones(),
-                server.0
-            );
-        }
         let mut msg = Message::snack(&self.key, ctx.id, server, self.scheme.version(), item, bits);
         if let Some(keyring) = &self.leap {
             let parts = Message::snack_pairwise_parts(ctx.id, server, self.scheme.version(), item);
@@ -420,13 +411,6 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             return;
         };
         ctx.note("sched_tx", item as u64, index as u64);
-        if std::env::var_os("LRS_TRACE").is_some() {
-            eprintln!(
-                "{:.3} n{} TX item={item} idx={index}",
-                ctx.now.as_secs_f64(),
-                ctx.id.0
-            );
-        }
         let msg = Message::Data {
             version: self.scheme.version(),
             item,

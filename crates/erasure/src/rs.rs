@@ -95,8 +95,7 @@ impl ReedSolomon {
     /// Decode-matrix cache counters `(hits, misses)` since construction.
     pub fn cache_counters(&self) -> (u64, u64) {
         // Poison-tolerant: the cache is pure memoization, so state left
-        // by a panicking thread (e.g. a crashed shard worker) is still
-        // coherent and safe to read.
+        // by a panicking thread is still coherent and safe to read.
         let c = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         (c.hits, c.misses)
     }

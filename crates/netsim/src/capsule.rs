@@ -30,8 +30,9 @@ use crate::noise::{BurstyNoise, NoiseModel};
 use crate::sim::{Outcome, RunReport, SimConfig};
 use crate::time::{Duration, SimTime};
 use crate::topology::{Link, Position, Topology};
-use crate::trace::{KeyedTraceEvent, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::violation::ContentDigest;
+use std::convert::Infallible;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,17 +43,17 @@ pub const CAPSULE_VERSION: u64 = 1;
 /// Magic prefix of the binary-framed encoding.
 pub const FRAME_MAGIC: [u8; 4] = *b"LRSC";
 
-/// Engine label for the sequential [`Simulator`](crate::sim::Simulator).
+/// Engine label for the [`Simulator`](crate::sim::Simulator), the only
+/// engine. Capsules keep the label (and a shard count of 1) so the
+/// format stays byte-compatible with capsules written when a second
+/// engine existed.
 pub const SEQUENTIAL_ENGINE: &str = "sequential";
 
-/// Engine label for the sharded engine
-/// ([`SimBuilder::run_sharded`](crate::SimBuilder::run_sharded)).
-pub const SHARDED_ENGINE: &str = "sharded";
-
 /// The per-node RNG stream-derivation constants, recorded in the
-/// header so a capsule documents its own reproduction recipe: protocol
-/// stream `seed·c₀ ^ node`, tx stream `seed·c₁ ^ node`, rx stream
-/// `seed·c₂ ^ node`.
+/// header so a capsule documents its own reproduction recipe: the
+/// protocol stream of each node is `seed·c₀ ^ node`. `c₁` and `c₂`
+/// seeded the per-node tx/rx streams of the removed sharded engine;
+/// they stay in the header so the format is byte-compatible.
 pub const RNG_STREAMS: &str = "9e3779b97f4a7c15,ff51afd7ed558ccd,c4ceb9fe1a85ec53";
 
 /// Condensed identity of a finished run: what replay must reproduce.
@@ -70,21 +71,21 @@ pub struct RunDigest {
     pub trace: ContentDigest,
     /// FNV-1a over the canonical metrics JSON line.
     pub metrics: ContentDigest,
-    /// FNV-1a over the `(OrderKey, emit index)` sequence of the merged
-    /// keyed trace — sharded engine only; [`ContentDigest::MISSING`]
-    /// for sequential runs, whose event order is queue-internal.
+    /// Event-order digest. Always [`ContentDigest::MISSING`]: the
+    /// engine's event order is queue-internal and already covered by
+    /// `trace`. Kept so the capsule format stays byte-compatible.
     pub order: ContentDigest,
 }
 
 impl RunDigest {
-    /// Digests a finished run from its report, metrics, and (merged)
-    /// trace. Pass `keyed` when the sharded engine's keyed trace is
-    /// available; the order digest is `MISSING` otherwise.
+    /// Digests a finished run from its report, metrics, and trace. The
+    /// last argument is always `None` (it cannot be anything else); it
+    /// keeps existing four-argument call sites compiling.
     pub fn compute(
         report: &RunReport,
         metrics: &Metrics,
         trace: &[TraceEvent],
-        keyed: Option<&[KeyedTraceEvent]>,
+        _order: Option<Infallible>,
     ) -> Self {
         let mut trace_digest = ContentDigest::EMPTY;
         for event in trace {
@@ -92,29 +93,13 @@ impl RunDigest {
                 .absorb(event.to_json().as_bytes())
                 .absorb(b"\n");
         }
-        let order = match keyed {
-            Some(keys) => {
-                let mut d = ContentDigest::EMPTY;
-                for (key, seq, _) in keys {
-                    d = d
-                        .absorb(&key.at.to_le_bytes())
-                        .absorb(&[key.class])
-                        .absorb(&key.a.to_le_bytes())
-                        .absorb(&key.b.to_le_bytes())
-                        .absorb(&key.c.to_le_bytes())
-                        .absorb(&seq.to_le_bytes());
-                }
-                d
-            }
-            None => ContentDigest::MISSING,
-        };
         RunDigest {
             outcome: report.outcome.label().to_string(),
             final_time: report.final_time,
             events: trace.len() as u64,
             trace: trace_digest,
             metrics: Self::metrics_digest(report.final_time, metrics),
-            order,
+            order: ContentDigest::MISSING,
         }
     }
 
@@ -137,16 +122,13 @@ impl RunDigest {
     }
 }
 
-/// A [`RunDigest`] tagged with the engine that produced it. The two
-/// engines legitimately differ event-for-event (the sharded engine's
-/// content-derived order is not the sequential queue order), so a
-/// capsule records one digest per engine; the sharded digest is
-/// shard-count independent.
+/// A [`RunDigest`] tagged with the engine that produced it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineDigest {
-    /// [`SEQUENTIAL_ENGINE`] or [`SHARDED_ENGINE`].
+    /// Engine label; [`SEQUENTIAL_ENGINE`] for every digest this code
+    /// writes.
     pub engine: String,
-    /// Shard count of the digested run (1 for sequential).
+    /// Shard count of the digested run (always 1).
     pub shards: usize,
     /// The digest itself.
     pub digest: RunDigest,
@@ -158,9 +140,9 @@ pub struct Capsule {
     /// The run seed; all per-node RNG streams derive from it (see
     /// [`RNG_STREAMS`]).
     pub seed: u64,
-    /// Engine of the captured run.
+    /// Engine of the captured run ([`SEQUENTIAL_ENGINE`]).
     pub engine: String,
-    /// Shard count of the captured run (1 for sequential).
+    /// Shard count of the captured run (always 1).
     pub shards: usize,
     /// The deadline the run was started with.
     pub deadline: Duration,
@@ -173,7 +155,7 @@ pub struct Capsule {
     /// Free-form key/value tags describing how to reconstruct the
     /// protocol under test (scheme name, image length, params, …).
     pub scenario: Vec<(String, String)>,
-    /// Recorded run digests, one per engine that executed the scenario.
+    /// Recorded run digests.
     pub digests: Vec<EngineDigest>,
 }
 
@@ -259,8 +241,7 @@ impl Capsule {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The recorded digest for `engine`, if any. Sharded digests are
-    /// shard-count independent, so the first match wins.
+    /// The recorded digest for `engine`, if any (the first match).
     pub fn digest_for(&self, engine: &str) -> Option<&EngineDigest> {
         self.digests.iter().find(|d| d.engine == engine)
     }
@@ -660,8 +641,8 @@ mod tests {
         );
         Capsule {
             seed: 0xDEAD_BEEF,
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 4,
+            engine: SEQUENTIAL_ENGINE.to_string(),
+            shards: 1,
             deadline: Duration::from_secs(100),
             config: SimConfig {
                 medium: MediumConfig {
@@ -680,8 +661,8 @@ mod tests {
                 ("note".to_string(), "quote \" and back\\slash".to_string()),
             ],
             digests: vec![EngineDigest {
-                engine: SHARDED_ENGINE.to_string(),
-                shards: 4,
+                engine: SEQUENTIAL_ENGINE.to_string(),
+                shards: 1,
                 digest: RunDigest {
                     outcome: "stalled".to_string(),
                     final_time: SimTime(123_456),
@@ -753,7 +734,7 @@ mod tests {
     #[test]
     fn digest_lookup_by_engine() {
         let capsule = sample_capsule();
-        assert!(capsule.digest_for(SHARDED_ENGINE).is_some());
-        assert!(capsule.digest_for(SEQUENTIAL_ENGINE).is_none());
+        assert!(capsule.digest_for(SEQUENTIAL_ENGINE).is_some());
+        assert!(capsule.digest_for("sharded").is_none());
     }
 }

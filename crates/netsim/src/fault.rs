@@ -106,21 +106,6 @@ impl FaultEvent {
         }
     }
 
-    /// The node whose shard must apply the event: the faulted node for
-    /// node-scoped faults, the *receiver* for link-scoped faults (link
-    /// state is consulted on delivery, which runs on the receiver's
-    /// shard).
-    pub fn owner(&self) -> NodeId {
-        match *self {
-            FaultEvent::Crash { node, .. }
-            | FaultEvent::Reboot { node, .. }
-            | FaultEvent::ClockDrift { node, .. } => node,
-            FaultEvent::LinkDown { to, .. }
-            | FaultEvent::LinkUp { to, .. }
-            | FaultEvent::Degrade { to, .. } => to,
-        }
-    }
-
     /// Renders the event as one JSON object in trace-event shape
     /// (`"t"` in microseconds of virtual time).
     pub fn to_json(&self) -> String {

@@ -58,15 +58,6 @@ impl MediumConfig {
     pub fn airtime(&self, bytes: usize) -> Duration {
         Duration::from_micros(self.per_packet_overhead_us + self.us_per_byte * bytes as u64)
     }
-
-    /// Conservative lookahead for the sharded engine (µs): a lower bound
-    /// on the delay between a broadcast's decision time and any resulting
-    /// delivery. Every packet spends at least the per-packet overhead on
-    /// the air, so a transmission started in one lookahead window cannot
-    /// be heard before the next window begins.
-    pub fn lookahead_us(&self) -> u64 {
-        self.per_packet_overhead_us.max(1)
-    }
 }
 
 /// Outcome of a reception attempt.

@@ -138,9 +138,8 @@ impl Metrics {
     }
 
     /// Folds `other`'s counters into `self`: sums every counter and
-    /// unions completion times keeping the earliest per node. Used by
-    /// the sharded engine to combine per-shard metrics; shards observe
-    /// disjoint nodes, so the union never actually conflicts.
+    /// unions completion times keeping the earliest per node, so the
+    /// counters of many runs can be totalled in one `Metrics`.
     pub fn merge(&mut self, other: &Metrics) {
         for (kind, n) in &other.tx_packets {
             *self.tx_packets.entry(*kind).or_insert(0) += n;

@@ -58,10 +58,6 @@ pub enum Outcome {
     Stalled,
     /// The attached invariant checker reported a violation.
     InvariantViolated,
-    /// A worker thread of the sharded engine panicked. The first panic
-    /// message is surfaced in the report's diagnostic reason, instead of
-    /// cascading into `"control poisoned"` secondary panics.
-    WorkerPanicked,
 }
 
 impl Outcome {
@@ -73,19 +69,15 @@ impl Outcome {
             Outcome::Drained => "drained",
             Outcome::Stalled => "stalled",
             Outcome::InvariantViolated => "invariant_violated",
-            Outcome::WorkerPanicked => "worker_panicked",
         }
     }
 
     /// Whether this outcome is diagnostic — the run ended abnormally
-    /// (stall, invariant violation, worker panic) rather than by a
-    /// normal terminal condition. Diagnostic outcomes are the ones the
-    /// flight recorder dumps failure capsules for.
+    /// (stall, invariant violation) rather than by a normal terminal
+    /// condition. Diagnostic outcomes are the ones the flight recorder
+    /// dumps failure capsules for.
     pub fn is_diagnostic(self) -> bool {
-        matches!(
-            self,
-            Outcome::Stalled | Outcome::InvariantViolated | Outcome::WorkerPanicked
-        )
+        matches!(self, Outcome::Stalled | Outcome::InvariantViolated)
     }
 }
 
@@ -715,7 +707,7 @@ impl<P: Protocol> Simulator<P> {
             }
             _ => None,
         };
-        if matches!(outcome, Outcome::Stalled | Outcome::InvariantViolated) {
+        if outcome.is_diagnostic() {
             self.write_failure_capsule(outcome, requested_deadline);
         }
         let latency = if self.all_complete() {
@@ -937,12 +929,8 @@ mod tests {
             Outcome::Drained,
             Outcome::Stalled,
             Outcome::InvariantViolated,
-            Outcome::WorkerPanicked,
         ] {
-            let expected = matches!(
-                outcome,
-                Outcome::Stalled | Outcome::InvariantViolated | Outcome::WorkerPanicked
-            );
+            let expected = matches!(outcome, Outcome::Stalled | Outcome::InvariantViolated);
             assert_eq!(outcome.is_diagnostic(), expected, "{}", outcome.label());
         }
     }

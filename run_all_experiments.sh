@@ -1,6 +1,6 @@
 #!/bin/bash
 # Regenerates every figure/table at paper scale, then runs the
-# robustness suites (chaos sweep, shard-scaling sweep, flight-recorder
+# robustness suites (chaos sweep, large-grid timer, flight-recorder
 # and campaign gates). Run from the repo root; extra args are forwarded
 # to the figure/table bins (e.g. --quick).
 set -e
@@ -34,13 +34,13 @@ echo "=== attack ==="
 echo "=== chaos ==="
 ./target/release/chaos --capsule results/capsules "$@" | tee results/chaos.txt
 
-# Shard-scaling sweep; asserts sharded metrics are shard-count
-# invariant and writes results/scale.json.
+# Large-grid timer: both schemes on 32x32/71x71/100x100 grids,
+# asserts full completion and writes results/scale.json.
 echo "=== scale ==="
 ./target/release/scale --capsule results/capsules "$@" | tee results/scale.txt
 
-# Flight-recorder gate: capture both schemes, replay across engines and
-# shard counts, verify digest bit-identity.
+# Flight-recorder gate: capture both schemes, replay each, verify
+# digest bit-identity.
 echo "=== replay ==="
 ./target/release/replay --smoke | tee results/replay.txt
 

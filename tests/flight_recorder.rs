@@ -1,7 +1,6 @@
 //! Flight-recorder end-to-end tests: capture → capsule → replay
-//! bit-identity on both engines and both schemes, automatic failure
-//! capsules from the watchdog, divergence bisection, and delta-debugged
-//! chaos-scenario shrinking.
+//! bit-identity for both schemes, automatic failure capsules from the
+//! watchdog, and delta-debugged chaos-scenario shrinking.
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_bench::matched_seluge_params;
@@ -10,12 +9,10 @@ use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
 use lrs_crypto::schnorr::Keypair;
 use lrs_deluge::engine::DisseminationNode;
 use lrs_deluge::policy::UnionPolicy;
-use lrs_netsim::capsule::{Capsule, EngineDigest, RunDigest, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
+use lrs_netsim::capsule::{Capsule, EngineDigest, RunDigest, SEQUENTIAL_ENGINE};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
-use lrs_netsim::replay::{
-    bisect_engines, bisect_shard_counts, replay_sequential, replay_sharded, verify_replay,
-};
+use lrs_netsim::replay::{replay_sequential, verify_replay};
 use lrs_netsim::shrink::shrink_fault_plan;
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::time::{Duration, SimTime};
@@ -59,74 +56,62 @@ fn unique_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lrs-flight-{}-{name}", std::process::id()))
 }
 
-/// Captures one LR-Seluge run on each engine and packages both digests
-/// into a capsule — what `lrs-bench`'s `replay --capture` does.
-fn lr_capsule(side: usize, seed: u64) -> Capsule {
-    let topology = Topology::grid(side, 10.0, 77);
-    let deployment = lr_deployment();
-    let sharded = SimBuilder::new(topology.clone(), seed, |id| deployment.node(id, NodeId(0)))
-        .shards(2)
-        .collect_trace(true)
-        .run_sharded(deadline(), |_, _| ());
-    assert_eq!(sharded.report.outcome, Outcome::Complete);
-    let sharded_digest = RunDigest::compute(
-        &sharded.report,
-        &sharded.metrics,
-        &sharded.trace,
-        Some(&sharded.keyed_trace),
-    );
+/// Runs a traced capture of `make` on `topology` and packages its
+/// digest into a capsule — what `lrs-bench`'s `replay --capture` does.
+fn capture<P, F>(topology: Topology, seed: u64, faults: FaultPlan, scheme: &str, make: F) -> Capsule
+where
+    P: Protocol + 'static,
+    F: FnMut(NodeId) -> P,
+{
     let ring = SharedRingTrace::new(usize::MAX);
-    let mut sim = SimBuilder::new(topology.clone(), seed, |id| deployment.node(id, NodeId(0)))
+    let mut sim = SimBuilder::new(topology.clone(), seed, make)
+        .faults(faults.clone())
         .trace(ring.clone())
         .build();
     let report = sim.run(deadline());
     assert_eq!(report.outcome, Outcome::Complete);
-    let sequential_digest = RunDigest::compute(&report, sim.metrics(), &ring.events(), None);
     Capsule {
         seed,
-        engine: SHARDED_ENGINE.to_string(),
-        shards: 2,
+        engine: SEQUENTIAL_ENGINE.to_string(),
+        shards: 1,
         deadline: deadline(),
         config: SimConfig::default(),
         topology,
-        faults: FaultPlan::new(),
-        scenario: vec![("scheme".to_string(), "lr-seluge".to_string())],
-        digests: vec![
-            EngineDigest {
-                engine: SEQUENTIAL_ENGINE.to_string(),
-                shards: 1,
-                digest: sequential_digest,
-            },
-            EngineDigest {
-                engine: SHARDED_ENGINE.to_string(),
-                shards: 2,
-                digest: sharded_digest,
-            },
-        ],
+        faults,
+        scenario: vec![("scheme".to_string(), scheme.to_string())],
+        digests: vec![EngineDigest {
+            engine: SEQUENTIAL_ENGINE.to_string(),
+            shards: 1,
+            digest: RunDigest::compute(&report, sim.metrics(), &ring.events(), None),
+        }],
     }
 }
 
 #[test]
-fn lr_capsule_replays_bit_identically_on_both_engines() {
-    let capsule = lr_capsule(6, 42);
+fn lr_capsule_replays_bit_identically() {
+    let deployment = lr_deployment();
+    let capsule = capture(
+        Topology::grid(6, 10.0, 77),
+        42,
+        FaultPlan::new(),
+        "lr-seluge",
+        |id| deployment.node(id, NodeId(0)),
+    );
     // The capsule must survive a serialization round trip before the
-    // replays, so what is verified is what a file would carry.
+    // replay, so what is verified is what a file would carry.
     let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
     assert_eq!(restored, capsule);
-    let deployment = lr_deployment();
-    let sequential = replay_sequential(&restored, |id| deployment.node(id, NodeId(0)));
-    verify_replay(&restored, &sequential).expect("sequential replay diverged");
-    for shards in [1usize, 2, 4] {
-        let run = replay_sharded(&restored, shards, |id| deployment.node(id, NodeId(0)));
-        verify_replay(&restored, &run)
-            .unwrap_or_else(|err| panic!("sharded replay @ {shards} shards diverged: {err}"));
-    }
+    let run = replay_sequential(&restored, |id| deployment.node(id, NodeId(0)));
+    verify_replay(&restored, &run).expect("replay diverged");
+    // The sharded engine is gone: a replay request for it is an error,
+    // never a silent sequential run.
+    assert!(lrs_bench::capsules::replay_capsule(&restored, "sharded", 4).is_err());
 }
 
 #[test]
 fn lr_capsule_with_faults_replays_bit_identically() {
-    // Cross-shard chaos in the capture must be reproduced exactly by
-    // the replay, because the capsule carries the full fault schedule.
+    // Chaos in the capture must be reproduced exactly by the replay,
+    // because the capsule carries the full fault schedule.
     let mut faults = FaultPlan::new();
     faults.crash_and_reboot(NodeId(7), SimTime(400_000), Duration::from_secs(2));
     faults.crash(NodeId(34), SimTime(700_000));
@@ -136,44 +121,17 @@ fn lr_capsule_with_faults_replays_bit_identically() {
         SimTime(300_000),
         Duration::from_secs(1),
     );
-    let topology = Topology::grid(6, 10.0, 77);
     let deployment = lr_deployment();
-    let captured = SimBuilder::new(topology.clone(), 3, |id| deployment.node(id, NodeId(0)))
-        .faults(faults.clone())
-        .shards(4)
-        .collect_trace(true)
-        .run_sharded(deadline(), |_, _| ());
-    assert_eq!(captured.report.outcome, Outcome::Complete);
-    let capsule = Capsule {
-        seed: 3,
-        engine: SHARDED_ENGINE.to_string(),
-        shards: 4,
-        deadline: deadline(),
-        config: SimConfig::default(),
-        topology,
-        faults,
-        scenario: Vec::new(),
-        digests: vec![EngineDigest {
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 4,
-            digest: RunDigest::compute(
-                &captured.report,
-                &captured.metrics,
-                &captured.trace,
-                Some(&captured.keyed_trace),
-            ),
-        }],
-    };
+    let capsule = capture(Topology::grid(6, 10.0, 77), 3, faults, "lr-seluge", |id| {
+        deployment.node(id, NodeId(0))
+    });
     let restored = Capsule::from_framed(&capsule.to_framed()).expect("framed round trip");
-    for shards in [1usize, 2] {
-        let run = replay_sharded(&restored, shards, |id| deployment.node(id, NodeId(0)));
-        verify_replay(&restored, &run)
-            .unwrap_or_else(|err| panic!("faulted replay @ {shards} shards diverged: {err}"));
-    }
+    let run = replay_sequential(&restored, |id| deployment.node(id, NodeId(0)));
+    verify_replay(&restored, &run).expect("faulted replay diverged");
 }
 
 #[test]
-fn seluge_capsule_replays_bit_identically_on_sharded_engine() {
+fn seluge_capsule_replays_bit_identically() {
     let image = test_image(1024);
     let params = matched_seluge_params(&small_lr(image.len()));
     let kp = Keypair::from_seed(b"flight recorder");
@@ -189,38 +147,16 @@ fn seluge_capsule_replays_bit_identically_on_sharded_engine() {
         };
         DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), Default::default())
     };
-    let topology = Topology::grid(6, 10.0, 77);
-    let captured = SimBuilder::new(topology.clone(), 7, make)
-        .shards(2)
-        .collect_trace(true)
-        .run_sharded(deadline(), |_, _| ());
-    assert_eq!(captured.report.outcome, Outcome::Complete);
-    let capsule = Capsule {
-        seed: 7,
-        engine: SHARDED_ENGINE.to_string(),
-        shards: 2,
-        deadline: deadline(),
-        config: SimConfig::default(),
-        topology,
-        faults: FaultPlan::new(),
-        scenario: vec![("scheme".to_string(), "seluge".to_string())],
-        digests: vec![EngineDigest {
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 2,
-            digest: RunDigest::compute(
-                &captured.report,
-                &captured.metrics,
-                &captured.trace,
-                Some(&captured.keyed_trace),
-            ),
-        }],
-    };
+    let capsule = capture(
+        Topology::grid(6, 10.0, 77),
+        7,
+        FaultPlan::new(),
+        "seluge",
+        make,
+    );
     let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
-    for shards in [1usize, 4] {
-        let run = replay_sharded(&restored, shards, make);
-        verify_replay(&restored, &run)
-            .unwrap_or_else(|err| panic!("seluge replay @ {shards} shards diverged: {err}"));
-    }
+    let run = replay_sequential(&restored, make);
+    verify_replay(&restored, &run).expect("seluge replay diverged");
 }
 
 /// A beacon protocol that keeps virtual time moving whether or not
@@ -314,35 +250,6 @@ fn shrinker_reduces_failing_chaos_plan_to_minimal_reproducer() {
 }
 
 #[test]
-fn stalled_sharded_run_dumps_a_loadable_capsule() {
-    let path = unique_path("stall-sharded.lrsc");
-    let _ = std::fs::remove_file(&path);
-    let mut faults = FaultPlan::new();
-    faults.crash(NodeId(0), SimTime(100_000));
-    let run = SimBuilder::new(Topology::star(5), 9, |_| Beacon { heard: false })
-        .config(beacon_config())
-        .faults(faults)
-        .shards(2)
-        .collect_trace(true)
-        .capsule_on_failure(&path)
-        .scenario("protocol", "beacon")
-        .run_sharded(Duration::from_secs(120), |_, b| b.heard);
-    assert_eq!(run.report.outcome, Outcome::Stalled);
-
-    let capsule = Capsule::load(&path).expect("failure capsule must load");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(capsule.engine, SHARDED_ENGINE);
-    assert_eq!(capsule.shards, 2);
-    assert_eq!(capsule.scenario_value("protocol"), Some("beacon"));
-    assert_eq!(capsule.faults.len(), 1);
-    let recorded = capsule.digest_for(SHARDED_ENGINE).expect("sharded digest");
-    assert_eq!(recorded.digest.outcome, "stalled");
-    // The capsule must reproduce the stall bit-identically.
-    let replayed = replay_sharded(&capsule, 4, |_| Beacon { heard: false });
-    verify_replay(&capsule, &replayed).expect("stall replay diverged");
-}
-
-#[test]
 fn stalled_sequential_run_dumps_a_loadable_capsule() {
     let path = unique_path("stall-sequential.jsonl");
     let _ = std::fs::remove_file(&path);
@@ -365,22 +272,4 @@ fn stalled_sequential_run_dumps_a_loadable_capsule() {
     // verify against those fields.
     let replayed = replay_sequential(&capsule, |_| Beacon { heard: false });
     verify_replay(&capsule, &replayed).expect("sequential stall replay diverged");
-}
-
-#[test]
-fn bisector_finds_engine_divergence_but_no_shard_divergence() {
-    let capsule = lr_capsule(4, 11);
-    let deployment = lr_deployment();
-    // The sharded engine is shard-count independent: no divergence.
-    assert!(
-        bisect_shard_counts(&capsule, 1, 4, |id| deployment.node(id, NodeId(0))).is_none(),
-        "shard counts must be lockstep-identical"
-    );
-    // The two engines intentionally order concurrent events differently;
-    // the bisector pinpoints where, with context on both sides.
-    let divergence = bisect_engines(&capsule, |id| deployment.node(id, NodeId(0)))
-        .expect("engines are expected to diverge in event order");
-    assert!(divergence.left.is_some() || divergence.right.is_some());
-    let rendered = divergence.to_string();
-    assert!(rendered.contains("streams diverge at event"), "{rendered}");
 }

@@ -38,14 +38,15 @@ fn scenario(scheme: SchemeKind) -> SwarmScenario {
 /// node's final status.
 fn run_sim(scenario: &SwarmScenario) -> Vec<NodeStatus> {
     let image = scenario.image().expect("image");
-    let run = SimBuilder::new(Topology::star(NODES), scenario.seed, |id| {
+    let mut sim = SimBuilder::new(Topology::star(NODES), scenario.seed, |id| {
         scenario.build_node(id).expect("node")
     })
-    .run_sharded(SimDuration::from_secs(10_000), |_, node| {
-        node.status(&image)
-    });
-    assert_eq!(run.report.outcome, Outcome::Complete, "sim run completed");
-    run.harvest
+    .build();
+    let report = sim.run(SimDuration::from_secs(10_000));
+    assert_eq!(report.outcome, Outcome::Complete, "sim run completed");
+    (0..NODES)
+        .map(|i| sim.node(NodeId(i as u32)).status(&image))
+        .collect()
 }
 
 /// Runs the scenario on real-time hosts wired through an in-process
@@ -100,7 +101,7 @@ fn run_hosts(scenario: &SwarmScenario) -> Vec<NodeStatus> {
         let image = Arc::clone(&image);
         threads.push(std::thread::spawn(move || {
             // The LR node's digest memo is Rc-based, so the protocol is
-            // built inside its thread, as the sharded engine does.
+            // built inside its thread.
             let protocol = scenario.build_node(NodeId(id as u32)).expect("node");
             let mut host = Host::new(NodeId(id as u32), protocol, transport, scenario.seed, cfg);
             host.run(Duration::from_secs(60)).expect("host run");
